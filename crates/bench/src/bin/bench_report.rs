@@ -4,9 +4,9 @@
 //! bench_report [--full] [--pr N] [--out PATH]
 //! ```
 //!
-//! Runs the Figure 2(a) append bench and the DHT read micro-bench in
-//! baseline and optimized configuration (see `blobseer_bench::report`)
-//! and writes `BENCH_PR<N>.json` (`--pr` sets both the filename and
+//! Runs the trajectory cases of `blobseer_bench::report` (the Figure
+//! 2(a) append bench, the DHT read micro-bench, the handle and
+//! fault-tolerance cases) and writes `BENCH_PR<N>.json` (`--pr` sets both the filename and
 //! the JSON `"pr"` field in one place; `--out` overrides the path).
 //! `--fast` (the default, kept as an explicit flag for CI readability)
 //! finishes in seconds; `--full` uses larger sizes for manual runs.
@@ -15,15 +15,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use blobseer_bench::report::{
-    degraded_read, dht_micro, elastic_rebalance, fig2a_append, hot_blob_snapshot, json_latency,
-    json_pair, latency_percentiles, metrics_overhead_append, multi_tenant_isolation, orphan_scrub,
-    pipeline_unit_label, pipelined_append, qos_overhead_append, repair_replicas_cost,
-    snapshot_pinned_read, writer_crash_recovery, DhtCase, ReportParams, CRASH_EVERY,
+    degraded_read, dht_micro, elastic_rebalance, fig2a_append, json_latency, json_pair,
+    json_single, latency_percentiles, multi_tenant_isolation, orphan_scrub, pipeline_unit_label,
+    pipelined_append, qos_overhead_append, repair_replicas_cost, snapshot_pinned_read,
+    writer_crash_recovery, DhtCase, ReportParams, CRASH_EVERY,
 };
 
 /// Counts every heap allocation in the process, so the report can state
-/// allocs-per-append for the baseline (per-page copies) vs the
-/// zero-copy path. Relaxed: exactness across threads is not required.
+/// allocs-per-append for the write path. Relaxed: exactness across threads is not required.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -48,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let mut pr: u32 = 10;
+    let mut pr: u32 = 12;
     let mut out: Option<String> = None;
     let mut params = ReportParams::fast();
     let mut mode = "fast";
@@ -70,10 +69,8 @@ fn main() {
     let out = out.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
     let count_allocs = || ALLOCS.load(Ordering::Relaxed);
 
-    eprintln!("# bench_report: fig2a append (baseline)...");
-    let append_base = fig2a_append(&params, false, Some(&count_allocs));
-    eprintln!("# bench_report: fig2a append (optimized)...");
-    let append_opt = fig2a_append(&params, true, Some(&count_allocs));
+    eprintln!("# bench_report: fig2a append...");
+    let append = fig2a_append(&params, Some(&count_allocs));
     eprintln!("# bench_report: dht read-heavy (baseline)...");
     let read_base = dht_micro(&params, false, DhtCase::ReadHeavy);
     eprintln!("# bench_report: dht read-heavy (optimized)...");
@@ -90,10 +87,6 @@ fn main() {
     let pinned_base = snapshot_pinned_read(&params, false);
     eprintln!("# bench_report: snapshot-pinned read (optimized: Snapshot)...");
     let pinned_opt = snapshot_pinned_read(&params, true);
-    eprintln!("# bench_report: hot-blob snapshot open (baseline: locked publication)...");
-    let hot_snap_base = hot_blob_snapshot(&params, false);
-    eprintln!("# bench_report: hot-blob snapshot open (optimized: seqlock cell)...");
-    let hot_snap_opt = hot_blob_snapshot(&params, true);
     eprintln!("# bench_report: pipelined append (baseline: blocking)...");
     let pipe_base = pipelined_append(&params, false);
     eprintln!("# bench_report: pipelined append (optimized: depth-4 PendingWrite)...");
@@ -112,10 +105,6 @@ fn main() {
     let repair = repair_replicas_cost(&params);
     eprintln!("# bench_report: elastic rebalance (ingest under joins + concurrent drain)...");
     let elastic = elastic_rebalance(&params);
-    eprintln!("# bench_report: metrics overhead (baseline: latency metrics off)...");
-    let metrics_base = metrics_overhead_append(&params, false);
-    eprintln!("# bench_report: metrics overhead (optimized: latency metrics on)...");
-    let metrics_inst = metrics_overhead_append(&params, true);
     eprintln!("# bench_report: qos overhead (baseline: qos subsystem off)...");
     let qos_off = qos_overhead_append(&params, false);
     eprintln!("# bench_report: qos overhead (optimized: qos on, unlimited quotas)...");
@@ -129,9 +118,9 @@ fn main() {
     let methodology = format!(
         "Best-of-{reps} wall time per case, fixed sizes and LCG op streams. fig2a_append: \
          single client, {unit_mib} MiB appends to {total_mib} MiB at 64 KiB pages, 16 in-memory \
-         providers, 4 io threads; baseline = per-page payload copies + one boxed pool job per \
-         page (seed write path), optimized = refcounted Bytes::slice carving + chunked range \
-         dispatch; both via append_bytes on a prebuilt buffer; allocs counted by a \
+         providers, 4 io threads, via append_bytes on a prebuilt buffer; one side only, the \
+         shipping write path (refcounted Bytes::slice carving + one range job per io thread), \
+         recorded under 'optimized' for comparability with earlier files; allocs counted by a \
          process-global counting allocator around the winning rep's timed section (store \
          construction excluded). dht_micro: {threads} threads x {iters} ops on a \
          16-bucket DHT over 4096 keys (read_heavy: 80% get / 20% put; read_mostly: 97% get / \
@@ -143,15 +132,7 @@ fn main() {
          hot published {total_mib} MiB snapshot into reusable buffers; baseline = flat \
          read_into (per call, per thread: blob-registry read lock + blob-state mutex + \
          lineage clone), optimized = version-pinned Snapshot (VM consulted once at \
-         construction, readers share the cached view). hot_blob_snapshot: {threads} threads \
-         x {reads} total Blob::latest() opens of one hot published blob; baseline = the store \
-         built with lockfree_publication(false), so every open resolves (version, size, root) \
-         under the blob-registry read lock + blob-state mutex; optimized = the seqlock cell \
-         (three atomic words, acquire/release fences, reader retry loop) — the optimized run \
-         asserts VmStats::lockfree_reads covered every open, so the measured path provably \
-         never touched the mutex. On a single-CPU container the opens time-slice instead of \
-         contending, so the ratio prices only the lock's fixed per-op cost; multi-core hosts \
-         additionally remove cross-core mutex/cacheline contention. pipelined_append: \
+         construction, readers share the cached view). pipelined_append: \
          {total_mib} MiB in {pipe_kib} KiB appends; baseline = blocking append_bytes, \
          optimized = append_pipelined with a depth-{depth} in-flight window (single-core \
          hosts understate the overlap: caller and completion stages time-slice one core). \
@@ -189,11 +170,7 @@ fn main() {
          byte-identical, victim retired and physically empty, one rebalance pass converges \
          and a second is a no-op — all asserted) and reports absolute numbers plus timings: \
          drain_to_ingest (drain seconds vs. the overlapped ingest) and the migration rate \
-         in MB/s. metrics_overhead_append: the fig2a \
-         optimized append workload with latency histograms off (baseline) vs on (optimized — \
-         the shipping default; two Instant::now calls, one coarse-clock fetch_max and one \
-         relaxed histogram increment per op); the ratio prices the observability tax and \
-         should sit at ~1.0. qos_overhead_append: the same workload without the QoS \
+         in MB/s. qos_overhead_append: the fig2a append workload without the QoS \
          subsystem (baseline) vs with Builder::qos on all-unlimited quotas (optimized - a \
          shared deployment throttling nobody: one registry lookup, one counter bump and the \
          dispatch-ticket indirection per update); the ratio prices the admission tax and must \
@@ -239,7 +216,7 @@ fn main() {
     json.push_str(&format!("  \"methodology\": \"{methodology}\",\n"));
     json.push_str(&format!(
         "  \"fig2a_append_64k\": {{\n{}\n  }},\n",
-        json_pair("    ", "append of 1 MiB", &append_base, &append_opt)
+        json_single("    ", "append of 1 MiB", &append)
     ));
     json.push_str(&format!(
         "  \"dht_micro_read_heavy\": {{\n{}\n  }},\n",
@@ -261,10 +238,6 @@ fn main() {
             &pinned_base,
             &pinned_opt
         )
-    ));
-    json.push_str(&format!(
-        "  \"hot_blob_snapshot\": {{\n{}\n  }},\n",
-        json_pair("    ", "latest() open", &hot_snap_base, &hot_snap_opt)
     ));
     json.push_str(&format!(
         "  \"pipelined_append\": {{\n{}\n  }},\n",
@@ -366,12 +339,6 @@ fn main() {
         tax = elastic.drain_elapsed.as_secs_f64() / elastic.ingest_elapsed.as_secs_f64().max(1e-9),
         reb_s = elastic.rebalance_elapsed.as_secs_f64(),
         reb_copies = elastic.rebalance_copies,
-    ));
-    json.push_str(&format!(
-        "  \"metrics_overhead_append\": {{\n{}\n  }},\n",
-        // "optimized" = instrumented (the shipping default): the ratio
-        // prices the observability tax and should sit at ~1.0.
-        json_pair("    ", "append of 1 MiB", &metrics_base, &metrics_inst)
     ));
     json.push_str(&format!(
         "  \"qos_overhead_append\": {{\n{}\n  }},\n",

@@ -1,13 +1,12 @@
 //! The trajectory harness: fast, deterministic measurements of the
-//! paper-critical hot paths, each as a baseline-vs-optimized pair.
+//! paper-critical hot paths, most as a baseline-vs-optimized pair.
 //!
 //! * **fig2a_append** — Figure 2(a)'s workload on the *real engine*: a
 //!   single client appends fixed-size units to a growing blob at 64 KiB
-//!   pages. Baseline = the seed write path (per-page payload copies,
-//!   one boxed pool job per page); optimized = zero-copy `Bytes::slice`
-//!   carving + chunked range dispatch. Both modes drive
-//!   `append_bytes` with the same prebuilt buffer, so the A/B isolates
-//!   exactly the PR-2 changes.
+//!   pages through `append_bytes` on a prebuilt buffer. One side only:
+//!   the shipping write path (zero-copy page carving, one pool job per
+//!   worker). The A/B against per-page copies and per-page jobs stays
+//!   in the checked-in trajectory files.
 //! * **dht_micro** — Figure 2(b)'s metadata hotspot in isolation:
 //!   read-dominated key/value traffic against one DHT (see [`DhtCase`]
 //!   for the three shapes). Baseline = the seed's Mutex bucket (frozen
@@ -22,15 +21,6 @@
 //!   resolves the version-manager view — blob lock, size/root lookup,
 //!   lineage clone — on *every* call; optimized = a pinned
 //!   [`blobseer::Snapshot`], which resolved it once at construction.
-//! * **hot_blob_snapshot** — the PR-10 wait-free publication A/B:
-//!   `dht_threads` threads opening `Blob::latest()` on one hot blob.
-//!   Baseline = the store built with `lockfree_publication(false)`, so
-//!   every open takes the blob-registry read lock and the blob-state
-//!   mutex; optimized = the seqlock cell (three atomic words, no lock).
-//!   The optimized side additionally asserts `VmStats::lockfree_reads`
-//!   covered every open — the bench cannot silently fall back to the
-//!   locked path. Single-core hosts understate the win (there is no
-//!   cross-core mutex contention to remove, only the lock's fixed cost).
 //! * **pipelined_append** — blocking `append_bytes` vs depth-4
 //!   `append_pipelined` on the same prebuilt buffer: the caller thread
 //!   overlaps the next append's page stores with the engine pool's
@@ -138,14 +128,12 @@ impl ReportParams {
     }
 }
 
-fn build_store(p: &ReportParams, optimized: bool) -> BlobSeer {
+fn build_store(p: &ReportParams) -> BlobSeer {
     BlobSeer::builder()
         .page_size(p.page_size)
         .data_providers(16)
         .metadata_providers(16)
         .io_threads(4)
-        .zero_copy_pages(optimized)
-        .io_chunks_per_thread(usize::from(optimized))
         .build()
         .expect("valid bench config")
 }
@@ -156,11 +144,7 @@ fn build_store(p: &ReportParams, optimized: bool) -> BlobSeer {
 /// timed section (store construction excluded) and the count of the
 /// *winning* rep is reported — so `allocs_per_op` is a true per-append
 /// figure, independent of `reps`.
-pub fn fig2a_append(
-    p: &ReportParams,
-    optimized: bool,
-    alloc_count: Option<&dyn Fn() -> u64>,
-) -> RunStats {
+pub fn fig2a_append(p: &ReportParams, alloc_count: Option<&dyn Fn() -> u64>) -> RunStats {
     let unit: Bytes = Bytes::from((0..p.append_unit).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     let appends = (p.append_total / p.append_unit) as u64;
 
@@ -168,7 +152,7 @@ pub fn fig2a_append(
     let mut io_jobs = 0u64;
     let mut allocs = None;
     for _ in 0..p.reps {
-        let store = build_store(p, optimized);
+        let store = build_store(p);
         let blob = store.create();
         let jobs_before = store.stats().io_jobs_dispatched;
         let allocs_before = alloc_count.map(|f| f());
@@ -202,7 +186,7 @@ pub fn fig2a_append(
 /// mutex, lineage clone) that every flat read pays *per call, per
 /// thread* and that a pinned `Snapshot` resolved once.
 pub fn snapshot_pinned_read(p: &ReportParams, optimized: bool) -> RunStats {
-    let store = build_store(p, true);
+    let store = build_store(p);
     let blob = store.create();
     let unit: Bytes = Bytes::from(vec![0xA5u8; p.append_unit]);
     let mut last = None;
@@ -249,70 +233,10 @@ pub fn snapshot_pinned_read(p: &ReportParams, optimized: bool) -> RunStats {
     }
 }
 
-/// The PR-10 hot-blob snapshot-open case; see module docs. Both sides
-/// run the identical `Blob::latest()` loop; the knob flips only the
-/// version-manager read path, so the A/B isolates the seqlock against
-/// the registry-lock + blob-mutex resolution it replaces.
-pub fn hot_blob_snapshot(p: &ReportParams, lockfree: bool) -> RunStats {
-    let store = BlobSeer::builder()
-        .page_size(p.page_size)
-        .data_providers(16)
-        .metadata_providers(16)
-        .io_threads(4)
-        .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
-        .lockfree_publication(lockfree)
-        .build()
-        .expect("valid bench config");
-    let blob = store.create();
-    let unit: Bytes = Bytes::from(vec![0x5Au8; p.append_unit]);
-    let mut last = None;
-    for _ in 0..8 {
-        last = Some(blob.append_bytes(unit.clone()).expect("append"));
-    }
-    let v = last.expect("at least one append");
-    blob.sync(v).expect("sync");
-
-    let per_thread = p.pinned_reads / p.dht_threads as u64;
-    let served_before = store.stats().vm.lockfree_reads;
-    let mut best = Duration::MAX;
-    for _ in 0..p.reps {
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..p.dht_threads {
-                let blob = &blob;
-                s.spawn(move || {
-                    for _ in 0..per_thread {
-                        let snap = blob.latest().expect("latest");
-                        debug_assert_eq!(snap.version(), v);
-                        std::hint::black_box(snap.len());
-                    }
-                });
-            }
-        });
-        best = best.min(t0.elapsed());
-    }
-    let total_opens = per_thread * p.dht_threads as u64 * p.reps as u64;
-    if lockfree {
-        let served = store.stats().vm.lockfree_reads - served_before;
-        assert!(
-            served >= total_opens,
-            "hot path fell back to the mutex: {served} lock-free reads for {total_opens} opens"
-        );
-    }
-    RunStats {
-        ops: per_thread * p.dht_threads as u64,
-        bytes: 0,
-        elapsed: best,
-        io_jobs: None,
-        allocs: None,
-    }
-}
-
 /// The PR-3 pipelined append case; see module docs. Baseline = blocking
 /// `append_bytes`; optimized = `append_pipelined` with a depth-bounded
 /// in-flight window. Same prebuilt buffer and total volume as
-/// [`fig2a_append`]'s optimized side.
+/// [`fig2a_append`].
 pub fn pipelined_append(p: &ReportParams, optimized: bool) -> RunStats {
     use std::collections::VecDeque;
 
@@ -322,7 +246,7 @@ pub fn pipelined_append(p: &ReportParams, optimized: bool) -> RunStats {
 
     let mut best = Duration::MAX;
     for _ in 0..p.reps {
-        let store = build_store(p, true);
+        let store = build_store(p);
         let blob = store.create();
         let t0 = Instant::now();
         let mut last = blobseer::Version(0);
@@ -383,7 +307,7 @@ pub fn writer_crash_recovery(p: &ReportParams) -> RunStats {
     let mut best = Duration::MAX;
     let mut survivors = 0u64;
     for _ in 0..p.reps {
-        let store = build_store(p, true);
+        let store = build_store(p);
         let blob = store.create();
         let ttl = store.config().lease_ttl_ticks;
         let t0 = Instant::now();
@@ -444,7 +368,7 @@ pub fn writer_crash_recovery(p: &ReportParams) -> RunStats {
 pub fn orphan_scrub(
     p: &ReportParams,
 ) -> (blobseer_workloads::CrashReport, blobseer_workloads::ScrubTrajectory) {
-    let store = build_store(p, true);
+    let store = build_store(p);
     let blob = store.create();
     // Fixed-size chunks (the pipelined unit) keep the run deterministic
     // and the per-crash leak a constant number of pages.
@@ -463,7 +387,7 @@ pub fn orphan_scrub(
 
 /// A replicated deployment behind caller-held [`blobseer::FaultPlan`]s
 /// for the PR-7 fault-tolerance cases: 16 in-memory providers,
-/// replication 2, the optimized write path.
+/// replication 2, the shipping write path.
 fn build_faulty_store(p: &ReportParams) -> (BlobSeer, Vec<std::sync::Arc<blobseer::FaultPlan>>) {
     use std::sync::Arc;
 
@@ -477,8 +401,6 @@ fn build_faulty_store(p: &ReportParams) -> (BlobSeer, Vec<std::sync::Arc<blobsee
         .metadata_providers(16)
         .io_threads(4)
         .replication(2)
-        .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
         .page_stores(plans.iter().map(|pl| Arc::clone(pl) as Arc<dyn PageStore>).collect())
         .build()
         .expect("valid bench config");
@@ -643,8 +565,6 @@ pub fn elastic_rebalance(p: &ReportParams) -> ElasticTrajectory {
         .metadata_providers(16)
         .io_threads(4)
         .replication(2)
-        .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
         .page_stores(handles.iter().map(|h| Arc::clone(h) as Arc<dyn PageStore>).collect())
         .build()
         .expect("valid bench config");
@@ -673,48 +593,8 @@ pub fn elastic_rebalance(p: &ReportParams) -> ElasticTrajectory {
     }
 }
 
-/// The PR-6 observability-tax case: the exact [`fig2a_append`]
-/// optimized workload, run with latency metrics off (baseline) vs on
-/// (optimized — the shipping default). The instrumented side pays two
-/// `Instant::now` calls, one coarse-clock `fetch_max` and one relaxed
-/// histogram increment per operation; the ratio should be ~1.0 —
-/// this case exists to *keep* it there.
-pub fn metrics_overhead_append(p: &ReportParams, instrumented: bool) -> RunStats {
-    let unit: Bytes = Bytes::from((0..p.append_unit).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-    let appends = (p.append_total / p.append_unit) as u64;
-
-    // The effect measured is nanoseconds per op against a ~50 µs op:
-    // extra best-of reps, or the A/B ratio is timer noise, not tax.
-    let mut best = Duration::MAX;
-    for _ in 0..p.reps * 4 {
-        let store = BlobSeer::builder()
-            .page_size(p.page_size)
-            .data_providers(16)
-            .metadata_providers(16)
-            .io_threads(4)
-            .latency_metrics(instrumented)
-            .build()
-            .expect("valid bench config");
-        let blob = store.create();
-        let t0 = Instant::now();
-        let mut last = None;
-        for _ in 0..appends {
-            last = Some(blob.append_bytes(unit.clone()).expect("append"));
-        }
-        blob.sync(last.expect("at least one append")).expect("sync");
-        best = best.min(t0.elapsed());
-    }
-    RunStats {
-        ops: appends,
-        bytes: p.append_total as u64,
-        elapsed: best,
-        io_jobs: None,
-        allocs: None,
-    }
-}
-
-/// The PR-8 admission-tax case: the exact [`metrics_overhead_append`]
-/// workload, run without the QoS subsystem (baseline) vs with QoS
+/// The admission-tax case: the [`fig2a_append`] workload (with
+/// four times the best-of reps), run without the QoS subsystem (baseline) vs with QoS
 /// enabled on all-unlimited quotas (optimized — what a shared
 /// deployment with no throttled tenants pays). The enabled side pays
 /// one registry lookup, one atomic counter bump and the
@@ -940,7 +820,7 @@ pub fn multi_tenant_isolation(p: &ReportParams) -> QosIsolationTrajectory {
 pub fn latency_percentiles(p: &ReportParams) -> blobseer::StatsSnapshot {
     use std::collections::VecDeque;
 
-    let store = build_store(p, true);
+    let store = build_store(p);
     let blob = store.create();
     let unit: Bytes =
         Bytes::from((0..p.pipeline_unit).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
@@ -1098,33 +978,46 @@ pub fn dht_micro(p: &ReportParams, optimized: bool, case: DhtCase) -> RunStats {
     }
 }
 
-/// Format one baseline/optimized pair as a JSON object (hand-rolled:
-/// the serde shim has no JSON backend).
+/// One run's fields as the inside of a JSON object (hand-rolled: the
+/// serde shim has no JSON backend).
+fn json_fields(s: &RunStats) -> String {
+    let mut fields = vec![
+        format!("\"ops\": {}", s.ops),
+        format!("\"elapsed_s\": {:.4}", s.elapsed.as_secs_f64()),
+        format!("\"ops_per_s\": {:.1}", s.ops_per_s()),
+    ];
+    if s.bytes > 0 {
+        fields.push(format!("\"mb_per_s\": {:.1}", s.mbps()));
+    }
+    if let Some(j) = s.io_jobs {
+        fields.push(format!("\"io_jobs_dispatched\": {j}"));
+    }
+    if let Some(a) = s.allocs_per_op() {
+        fields.push(format!("\"allocs_per_op\": {a:.1}"));
+    }
+    fields.join(", ")
+}
+
+/// Format a single-sided case as a JSON object. The run sits under
+/// `"optimized"`, the key earlier trajectory files used for the
+/// shipping path, so files stay comparable across PRs.
+pub fn json_single(indent: &str, unit: &str, run: &RunStats) -> String {
+    format!(
+        "{indent}\"unit\": \"{unit}\",\n\
+         {indent}\"optimized\": {{ {} }}",
+        json_fields(run)
+    )
+}
+
+/// Format one baseline/optimized pair as a JSON object.
 pub fn json_pair(indent: &str, unit: &str, baseline: &RunStats, optimized: &RunStats) -> String {
-    let line = |s: &RunStats| {
-        let mut fields = vec![
-            format!("\"ops\": {}", s.ops),
-            format!("\"elapsed_s\": {:.4}", s.elapsed.as_secs_f64()),
-            format!("\"ops_per_s\": {:.1}", s.ops_per_s()),
-        ];
-        if s.bytes > 0 {
-            fields.push(format!("\"mb_per_s\": {:.1}", s.mbps()));
-        }
-        if let Some(j) = s.io_jobs {
-            fields.push(format!("\"io_jobs_dispatched\": {j}"));
-        }
-        if let Some(a) = s.allocs_per_op() {
-            fields.push(format!("\"allocs_per_op\": {a:.1}"));
-        }
-        fields.join(", ")
-    };
     let speedup = baseline.elapsed.as_secs_f64() / optimized.elapsed.as_secs_f64();
     format!(
         "{indent}\"unit\": \"{unit}\",\n\
          {indent}\"baseline\": {{ {} }},\n\
          {indent}\"optimized\": {{ {} }},\n\
          {indent}\"speedup\": {speedup:.2}",
-        line(baseline),
-        line(optimized),
+        json_fields(baseline),
+        json_fields(optimized),
     )
 }

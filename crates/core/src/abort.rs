@@ -64,6 +64,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use blobseer_meta::{build_meta, TreeReader, UpdateContext};
+use blobseer_metrics::Timer;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageDescriptor, Result, Version};
 use blobseer_version::AbortTicket;
 use bytes::Bytes;
@@ -303,11 +304,11 @@ pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version
     // Timed from gate acquisition (scan + repairs, not the wait for a
     // concurrent sweeper): the duration operators can act on when the
     // `lease_sweep` tail grows — see docs/OBSERVABILITY.md.
-    let sweep_timer = engine.metrics.timer();
+    let sweep_timer = Timer::start();
     for (blob, v) in engine.vm.expired_leases() {
         run(blob, v, &mut report);
     }
-    crate::metrics::EngineMetrics::record(sweep_timer, &engine.metrics.lease_sweep_latency);
+    sweep_timer.stop(&engine.metrics.lease_sweep_latency);
     report
 }
 

@@ -47,6 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use blobseer_meta::NodeKey;
+use blobseer_metrics::Timer;
 use blobseer_provider::{DataProvider, PageStore};
 use blobseer_types::{BlobError, PageId, ProviderId, Result};
 
@@ -159,20 +160,20 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
         // ── Mark: the scrubber's judgment — epoch cut, then the live
         // set with leaf-named primaries (shared walk with the
         // repairer), per-blob restart on a retire race.
-        let mark_timer = engine.metrics.timer();
+        let mark_timer = Timer::start();
         let epoch = engine.scrub_pid_epoch();
         let (expected, restarts) = mark_expected(engine)?;
         report.mark_restarts += restarts;
         let held = victim
             .scan_pages()
             .map_err(|e| BlobError::DrainConflict(format!("victim went offline mid-drain: {e}")))?;
-        crate::metrics::EngineMetrics::record(mark_timer, &engine.metrics.drain_mark_latency);
+        mark_timer.stop(&engine.metrics.drain_mark_latency);
         if held.is_empty() {
             return Ok(report);
         }
 
         // ── Migrate/reclaim the judged pages; defer the unjudged.
-        let copy_timer = engine.metrics.timer();
+        let copy_timer = Timer::start();
         let mut deferred = 0usize;
         for (pid, _) in held {
             if pid >= epoch {
@@ -195,7 +196,7 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
                 }
             }
         }
-        crate::metrics::EngineMetrics::record(copy_timer, &engine.metrics.drain_copy_latency);
+        copy_timer.stop(&engine.metrics.drain_copy_latency);
 
         if Instant::now() >= deadline {
             return Err(BlobError::DrainConflict(format!(

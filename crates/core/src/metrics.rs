@@ -3,21 +3,19 @@
 //!
 //! One `EngineMetrics` per [`Engine`](crate::engine::Engine) — not
 //! process-global — so a test spinning up many stores gets independent
-//! registries. Operation *counters* always count (one relaxed
-//! `fetch_add`); latency *timers* are gated on
-//! `StoreConfig::latency_metrics` so benches can run an uninstrumented
-//! A/B baseline. The DHT's own block-time histogram is created by the
-//! DHT and merely registered here for exposition — its recording is
-//! never gated (a blocking wait dwarfs its own timestamping).
+//! registries. Operation *counters* cost one relaxed `fetch_add`;
+//! latency histograms are fed by a [`blobseer_metrics::Timer`] started
+//! at the top of each operation and stopped on success. The DHT's own
+//! block-time histogram is created by the DHT and merely registered
+//! here for exposition.
 //!
 //! Metric names and semantics are documented in `docs/OBSERVABILITY.md`.
 
 use std::sync::Arc;
 
-use blobseer_metrics::{Counter, Registry, Timer, WindowedHistogram};
+use blobseer_metrics::{Counter, Registry, WindowedHistogram};
 
 pub(crate) struct EngineMetrics {
-    enabled: bool,
     registry: Registry,
     pub append_ops: Arc<Counter>,
     pub write_ops: Arc<Counter>,
@@ -58,7 +56,7 @@ impl EngineMetrics {
     /// Build and register the full metric set. `dht_wait` is the
     /// metadata DHT's shared block-time histogram; `providers` sizes
     /// the per-provider latency vectors.
-    pub fn new(enabled: bool, dht_wait: Arc<WindowedHistogram>, providers: usize) -> EngineMetrics {
+    pub fn new(dht_wait: Arc<WindowedHistogram>, providers: usize) -> EngineMetrics {
         let r = Registry::new();
         let append_ops = r.counter("blobseer_append_ops_total", "appends published");
         let write_ops = r.counter("blobseer_write_ops_total", "writes published");
@@ -138,7 +136,6 @@ impl EngineMetrics {
             "page stores that published fewer copies than the replication factor",
         );
         EngineMetrics {
-            enabled,
             registry: r,
             append_ops,
             write_ops,
@@ -170,21 +167,6 @@ impl EngineMetrics {
             provider_fetch_latency: (0..providers)
                 .map(|_| Arc::new(WindowedHistogram::new()))
                 .collect(),
-        }
-    }
-
-    /// A started timer, or `None` when latency recording is off. Pair
-    /// with [`EngineMetrics::record`] at the end of the operation.
-    #[inline]
-    pub fn timer(&self) -> Option<Timer> {
-        self.enabled.then(Timer::start)
-    }
-
-    /// Stop `timer` (when latency recording is on) into `hist`.
-    #[inline]
-    pub fn record(timer: Option<Timer>, hist: &WindowedHistogram) {
-        if let Some(t) = timer {
-            t.stop(hist);
         }
     }
 

@@ -26,6 +26,7 @@
 
 use std::sync::Arc;
 
+use blobseer_metrics::Timer;
 use blobseer_types::{BlobError, BlobId, Result, Version};
 use parking_lot::{Condvar, Mutex};
 
@@ -84,7 +85,7 @@ impl PendingWrite {
         let _ordered = order.lock();
         // Latency of a pipelined update spans submission to completion
         // (not publication): the same span `wait()` would cover.
-        let op_timer = engine.metrics.timer();
+        let op_timer = Timer::start();
         let is_append = matches!(target, Target::Append);
         let prepared: Prepared = write::prepare(engine, blob, data, target)?;
         let version = prepared.assigned.vw;

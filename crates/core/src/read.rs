@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use blobseer_meta::Lineage;
 use blobseer_meta::{read_meta, read_meta_multi, RootRef, TreeReader};
-use blobseer_rt::try_parallel_jobs;
+use blobseer_metrics::Timer;
+use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
 use bytes::Bytes;
 
@@ -31,7 +32,7 @@ pub(crate) fn read(
     offset: u64,
     buf: &mut [u8],
 ) -> Result<()> {
-    let op_timer = engine.metrics.timer();
+    let op_timer = Timer::start();
     let size = buf.len() as u64;
     let view = engine.vm.snapshot_view(blob, v)?;
     if offset + size > view.size {
@@ -50,7 +51,7 @@ pub(crate) fn read(
         .ok_or_else(|| BlobError::Internal("non-empty snapshot without a tree root".into()))?;
     read_at_root_into(engine, &view.lineage, root, ByteRange::new(offset, size), buf)?;
     engine.metrics.read_ops.increment();
-    crate::metrics::EngineMetrics::record(op_timer, &engine.metrics.read_latency);
+    op_timer.stop(&engine.metrics.read_latency);
     Ok(())
 }
 
@@ -138,8 +139,7 @@ pub(crate) fn fetch_slices(
     let shared = Arc::new(slices);
     let eng = Arc::clone(engine);
     let jobs = Arc::clone(&shared);
-    let max_jobs = engine.max_parallel_jobs();
-    try_parallel_jobs(&engine.pool, shared.len(), max_jobs, move |i| {
+    try_parallel(&engine.pool, shared.len(), move |i| {
         let s = &jobs[i];
         let data = fetch_with_fallback(&eng, &s.descriptor, s.within)?;
         Ok::<_, BlobError>((s.buffer_offset, data))
@@ -147,7 +147,7 @@ pub(crate) fn fetch_slices(
 }
 
 /// [`fetch_slices`] without destination offsets: fetch every slice and
-/// return the payloads in input order ([`try_parallel_jobs`] preserves
+/// return the payloads in input order ([`try_parallel`] preserves
 /// it). The vectored-read path dedups identical page windows across
 /// requests and indexes into this result to hand each request a
 /// refcounted clone of the single fetch.
@@ -198,16 +198,14 @@ fn fetch_with_fallback(
     let mut unavailable = None;
     let mut last = None;
     for id in std::iter::once(descriptor.provider).chain(replicas).chain(fallbacks) {
-        let timer = engine.metrics.timer();
+        let timer = Timer::start();
         match fetch(id) {
             Ok(data) => {
                 // Per-provider fetch split: only the successful attempt
                 // is attributed (a miss on a fallback that never held
                 // the copy says nothing about that provider's latency).
-                if let (Some(t), Some(hist)) =
-                    (timer, engine.metrics.provider_fetch_latency.get(id.0 as usize))
-                {
-                    t.stop(hist);
+                if let Some(hist) = engine.metrics.provider_fetch_latency.get(id.0 as usize) {
+                    timer.stop(hist);
                 }
                 return Ok(data);
             }

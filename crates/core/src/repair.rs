@@ -43,7 +43,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use blobseer_meta::NodeKey;
-use blobseer_rt::parallel_map_jobs;
+use blobseer_metrics::Timer;
+use blobseer_rt::parallel_map;
 use blobseer_types::{PageId, ProviderId, Result};
 
 use crate::engine::Engine;
@@ -94,7 +95,7 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
     // discipline as the scrubber: epoch strictly before the metadata
     // cut, per-blob restart on a retire race, transactional visited
     // scratch (see crate::scrub for the full argument).
-    let mark_timer = engine.metrics.timer();
+    let mark_timer = Timer::start();
     let epoch = engine.scrub_pid_epoch();
     let cuts = engine.vm.scrub_cut();
 
@@ -136,13 +137,12 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
     let providers = engine.providers.all_providers();
     let n = providers.len();
     let scan_providers = providers.clone();
-    let scans: Vec<Option<HashSet<PageId>>> =
-        parallel_map_jobs(&engine.pool, n, engine.max_parallel_jobs(), move |i| {
-            scan_providers[i]
-                .scan_pages()
-                .ok()
-                .map(|pages| pages.into_iter().map(|(pid, _)| pid).collect())
-        });
+    let scans: Vec<Option<HashSet<PageId>>> = parallel_map(&engine.pool, n, move |i| {
+        scan_providers[i]
+            .scan_pages()
+            .ok()
+            .map(|pages| pages.into_iter().map(|(pid, _)| pid).collect())
+    });
     let mut holders: HashMap<ProviderId, HashSet<PageId>> = HashMap::new();
     let mut report = RepairReport { mark_restarts, ..RepairReport::default() };
     for (provider, scan) in providers.iter().zip(scans) {
@@ -154,10 +154,10 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
             None => report.providers_skipped += 1,
         }
     }
-    crate::metrics::EngineMetrics::record(mark_timer, &engine.metrics.repair_mark_latency);
+    mark_timer.stop(&engine.metrics.repair_mark_latency);
 
     // ── Diff + copy.
-    let copy_timer = engine.metrics.timer();
+    let copy_timer = Timer::start();
     let replication = engine.config.replication;
     for (&pid, &primary) in &expected {
         if pid >= epoch {
@@ -263,6 +263,6 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
             }
         }
     }
-    crate::metrics::EngineMetrics::record(copy_timer, &engine.metrics.repair_copy_latency);
+    copy_timer.stop(&engine.metrics.repair_copy_latency);
     Ok(report)
 }

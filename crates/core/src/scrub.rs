@@ -51,8 +51,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blobseer_meta::{collect_tree_pages, NodeKey, TreeNode, TreeReader};
+use blobseer_metrics::Timer;
 use blobseer_provider::ScrubPass;
-use blobseer_rt::parallel_map_jobs;
+use blobseer_rt::parallel_map;
 use blobseer_types::{BlobError, NodePos, PageId, Result};
 
 use crate::engine::Engine;
@@ -103,7 +104,7 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
     // Phases are timed separately (mark = metadata-bound, sweep =
     // provider-bound): which tail grows tells an operator *where* a
     // slow scrub spends its time — see docs/OBSERVABILITY.md.
-    let mark_timer = engine.metrics.timer();
+    let mark_timer = Timer::start();
     // 1. Epoch cut strictly before the metadata cut (module docs).
     let epoch = engine.scrub_pid_epoch();
     let cuts = engine.vm.scrub_cut();
@@ -154,32 +155,31 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
         }
     }
     let pages_marked = live.len();
-    crate::metrics::EngineMetrics::record(mark_timer, &engine.metrics.scrub_mark_latency);
-    let sweep_timer = engine.metrics.timer();
+    mark_timer.stop(&engine.metrics.scrub_mark_latency);
+    let sweep_timer = Timer::start();
 
     // 3. Sweep, one job per provider on the I/O pool.
     let providers = engine.providers.all_providers();
     let n = providers.len();
     let shared = Arc::new(SweepShared { live, epoch, exempt: AtomicU64::new(0) });
     let jobs_shared = Arc::clone(&shared);
-    let outcomes: Vec<Option<ScrubPass>> =
-        parallel_map_jobs(&engine.pool, n, engine.max_parallel_jobs(), move |i| {
-            let provider = &providers[i];
-            let s = Arc::clone(&jobs_shared);
-            let condemned = move |pid: PageId| {
-                if s.live.contains(&pid) {
-                    return false; // marked live — not the cut's doing
-                }
-                if pid >= s.epoch {
-                    s.exempt.fetch_add(1, Ordering::Relaxed);
-                    return false; // unjudgeable yet: in-flight or post-mark
-                }
-                true
-            };
-            // An offline (or mid-sweep-failing) provider keeps its
-            // copies; it is re-swept after recovery, like GC.
-            provider.scrub(&condemned).ok()
-        });
+    let outcomes: Vec<Option<ScrubPass>> = parallel_map(&engine.pool, n, move |i| {
+        let provider = &providers[i];
+        let s = Arc::clone(&jobs_shared);
+        let condemned = move |pid: PageId| {
+            if s.live.contains(&pid) {
+                return false; // marked live — not the cut's doing
+            }
+            if pid >= s.epoch {
+                s.exempt.fetch_add(1, Ordering::Relaxed);
+                return false; // unjudgeable yet: in-flight or post-mark
+            }
+            true
+        };
+        // An offline (or mid-sweep-failing) provider keeps its
+        // copies; it is re-swept after recovery, like GC.
+        provider.scrub(&condemned).ok()
+    });
 
     let mut report = ScrubReport {
         pages_marked,
@@ -199,7 +199,7 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
             None => report.providers_skipped += 1,
         }
     }
-    crate::metrics::EngineMetrics::record(sweep_timer, &engine.metrics.scrub_sweep_latency);
+    sweep_timer.stop(&engine.metrics.scrub_sweep_latency);
     Ok(report)
 }
 

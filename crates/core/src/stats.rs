@@ -57,8 +57,7 @@ pub(crate) fn collect(engine: &Engine) -> StoreStats {
 /// and nearest-rank percentiles, in nanoseconds. Percentiles are upper
 /// bucket edges of a base-2 log-linear histogram — within 1/128
 /// (≈ 0.8 %) above the true sample (see `blobseer_metrics`). All
-/// fields are zero when the operation never ran or latency recording
-/// is off ([`crate::Builder::latency_metrics`]).
+/// fields are zero when the operation never ran.
 ///
 /// # Examples
 ///
@@ -185,8 +184,7 @@ pub struct StatsSnapshot {
     /// Update prepare half: interior page store + version assignment.
     pub write_prepare: OpLatency,
     /// Time blocked in the metadata DHT waiting for in-flight nodes —
-    /// the paper's concurrency seam. Recorded even when
-    /// [`crate::Builder::latency_metrics`] is off.
+    /// the paper's concurrency seam.
     pub dht_get_wait: OpLatency,
     /// Expired-lease sweep (scan + repairs, gate wait excluded).
     pub lease_sweep: OpLatency,
@@ -201,8 +199,7 @@ pub struct StatsSnapshot {
     /// provider-bound).
     pub repair_copy: OpLatency,
     /// Lifetime page stores re-placed onto a fallback provider because
-    /// a replica-chain member was offline or erroring. Counters always
-    /// count, independent of `latency_metrics`.
+    /// a replica-chain member was offline or erroring.
     pub failovers_total: u64,
     /// Lifetime page copies that failed checksum verification
     /// (engine-observed; per-provider splits are in

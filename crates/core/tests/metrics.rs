@@ -154,33 +154,6 @@ fn metrics_text_is_scrape_ready() {
 }
 
 #[test]
-fn latency_metrics_off_still_counts_operations() {
-    let s = BlobSeer::builder()
-        .page_size(PSIZE)
-        .data_providers(2)
-        .metadata_providers(2)
-        .io_threads(1)
-        .pipeline_threads(1)
-        .latency_metrics(false)
-        .build()
-        .unwrap();
-    let blob = s.create();
-    let v = blob.append(&[1u8; PSIZE as usize]).unwrap();
-    blob.sync(v).unwrap();
-    blob.snapshot(v).unwrap().read(ByteRange::new(0, PSIZE)).unwrap();
-
-    // Ops still count; no latency sample is recorded anywhere.
-    let text = s.metrics_text();
-    assert!(text.contains("blobseer_append_ops_total 1\n"));
-    assert!(text.contains("blobseer_read_ops_total 1\n"));
-    let stats = s.stats_snapshot();
-    assert_eq!(stats.append.count, 0);
-    assert_eq!(stats.read.count, 0);
-    assert_eq!(stats.write_prepare.count, 0);
-    assert_eq!(stats.append.p999_ns, 0);
-}
-
-#[test]
 fn pipelined_updates_record_latency_on_completion() {
     let s = store(20);
     let blob = s.create();

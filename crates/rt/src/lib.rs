@@ -15,14 +15,12 @@
 //! ## Chunked dispatch
 //!
 //! Fan-outs are dispatched as **index ranges**, not individual items:
-//! `0..n` is split into at most `max_jobs` contiguous chunks and each
-//! chunk is one boxed job that runs its items sequentially. A 1 GiB
-//! append with 64 KiB pages therefore submits one job per worker
-//! (~8 boxed closures) instead of ~16k, eliminating per-item heap
-//! allocation, channel traffic and queue contention. [`parallel_map`]
-//! and [`try_parallel`] default to one chunk per worker; the `_jobs`
-//! variants take an explicit bound (`usize::MAX` restores per-item
-//! dispatch, which the engine exposes as an ablation baseline).
+//! [`parallel_map`] and [`try_parallel`] split `0..n` into at most one
+//! contiguous chunk per worker thread, and each chunk is one boxed job
+//! that runs its items sequentially. A 1 GiB append with 64 KiB pages
+//! therefore submits one job per worker (~8 boxed closures) instead of
+//! ~16k, eliminating per-item heap allocation, channel traffic and
+//! queue contention.
 
 mod pool;
 mod wait;
@@ -33,20 +31,10 @@ pub use wait::WaitGroup;
 use std::sync::Arc;
 
 /// Run `f(i)` for every `i in 0..n` on the pool, returning the results
-/// in index order. Dispatches one chunk per worker thread; panics in
-/// jobs are propagated to the caller.
+/// in index order. `0..n` is split into `min(n, pool.threads())`
+/// contiguous ranges, one boxed job each; panics in jobs are propagated
+/// to the caller.
 pub fn parallel_map<T, F>(pool: &ThreadPool, n: usize, f: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    parallel_map_jobs(pool, n, pool.threads(), f)
-}
-
-/// [`parallel_map`] with an explicit bound on dispatched jobs: `0..n`
-/// is split into `min(n, max_jobs)` contiguous ranges, one boxed job
-/// each. Results are returned in index order.
-pub fn parallel_map_jobs<T, F>(pool: &ThreadPool, n: usize, max_jobs: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
@@ -58,7 +46,7 @@ where
         // Fast path: no dispatch overhead for single-page operations.
         return vec![f(0)];
     }
-    let jobs = max_jobs.clamp(1, n);
+    let jobs = pool.threads().min(n);
     let f = Arc::new(f);
     let (tx, rx) = crossbeam::channel::bounded(jobs);
     let (base, rem) = (n / jobs, n % jobs);
@@ -99,23 +87,7 @@ where
     E: Send + 'static,
     F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
 {
-    try_parallel_jobs(pool, n, pool.threads(), f)
-}
-
-/// [`try_parallel`] with an explicit bound on dispatched jobs (see
-/// [`parallel_map_jobs`]).
-pub fn try_parallel_jobs<T, E, F>(
-    pool: &ThreadPool,
-    n: usize,
-    max_jobs: usize,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send + 'static,
-    E: Send + 'static,
-    F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
-{
-    parallel_map_jobs(pool, n, max_jobs, f).into_iter().collect()
+    parallel_map(pool, n, f).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -185,46 +157,24 @@ mod tests {
     }
 
     #[test]
-    fn chunked_dispatch_preserves_order_for_all_job_bounds() {
-        let pool = ThreadPool::new(3, "test");
-        for max_jobs in [1, 2, 3, 7, 100, usize::MAX] {
-            let out = parallel_map_jobs(&pool, 100, max_jobs, |i| i * 3);
-            assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>(), "max_jobs={max_jobs}");
+    fn chunked_dispatch_preserves_order_for_all_pool_sizes() {
+        for threads in [1, 2, 3, 7] {
+            let pool = ThreadPool::new(threads, "test");
+            let out = parallel_map(&pool, 100, |i| i * 3);
+            assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
     #[test]
-    fn chunked_dispatch_boxes_at_most_max_jobs() {
+    fn chunked_dispatch_boxes_one_job_per_worker() {
         let pool = ThreadPool::new(2, "test");
-        let out = parallel_map_jobs(&pool, 16_384, 2, |i| i);
+        let out = parallel_map(&pool, 16_384, |i| i);
         assert_eq!(out.len(), 16_384);
         assert_eq!(pool.jobs_dispatched(), 2, "a 16k-item batch must box 2 jobs, not 16k");
 
-        // The default entry point dispatches one job per worker.
-        let before = pool.jobs_dispatched();
-        let _ = parallel_map(&pool, 1000, |i| i);
-        assert_eq!(pool.jobs_dispatched() - before, 2);
-
-        // max_jobs = usize::MAX restores per-item dispatch (the baseline).
-        let before = pool.jobs_dispatched();
-        let _ = parallel_map_jobs(&pool, 100, usize::MAX, |i| i);
-        assert_eq!(pool.jobs_dispatched() - before, 100);
-    }
-
-    #[test]
-    fn try_parallel_jobs_runs_every_item_despite_error() {
+        // Fewer items than workers: one job per item.
         let pool = ThreadPool::new(4, "test");
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = Arc::clone(&ran);
-        let res: Result<Vec<usize>, String> = try_parallel_jobs(&pool, 64, 4, move |i| {
-            ran2.fetch_add(1, Ordering::SeqCst);
-            if i % 17 == 3 {
-                Err(format!("boom {i}"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert!(res.is_err());
-        assert_eq!(ran.load(Ordering::SeqCst), 64);
+        let _ = parallel_map(&pool, 3, |i| i);
+        assert_eq!(pool.jobs_dispatched(), 3);
     }
 }

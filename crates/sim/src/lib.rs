@@ -26,11 +26,6 @@
 //!   failure (PR 7): dead data providers redirect their pages to live
 //!   replica-chain members, and the concurrent-reader bandwidth is
 //!   priced against the healthy baseline — the degraded-mode tax.
-//! * [`elastic_drain_experiment`] — the elastic-membership scenario
-//!   (PR 9): a replicated deployment grows by two providers and drains
-//!   one; the drain's mark/scan/migrate phases are priced against the
-//!   ingest that filled the victim — the cost of shrinking a cluster
-//!   by one node.
 //! * [`qos_isolation_experiment`] — the multi-tenant scenario (PR 8):
 //!   a noisy tenant floods a shared ingest with 10× a quiet tenant's
 //!   traffic; quiet-tenant p99 is measured solo, shared-FIFO, and
@@ -56,7 +51,6 @@
 mod append;
 mod cluster;
 mod degraded;
-mod elastic;
 mod failure;
 mod params;
 mod qos;
@@ -66,7 +60,6 @@ mod scrub;
 pub use append::{append_experiment, pipelined_append_experiment, AppendPoint, PipelinedSummary};
 pub use cluster::Cluster;
 pub use degraded::{degraded_read_experiment, DegradedReadSummary};
-pub use elastic::{elastic_drain_experiment, ElasticSimSummary};
 pub use failure::{crash_writer_experiment, CrashRecoverySummary};
 pub use params::SimParams;
 pub use qos::{qos_isolation_experiment, QosIsolationSummary};

@@ -49,7 +49,8 @@
 //! [`VersionManager::latest_view`] and the latest-version case of
 //! [`VersionManager::snapshot_view`] — resolve entirely from that cell:
 //! no blob mutex, [`VmStats::lockfree_reads`] counts the proof. The
-//! mutex survives only on the write/assign/abort/retire side. The blob
+//! mutex survives on the write/assign/abort/retire side and for views
+//! of versions behind the frontier. The blob
 //! registry itself is sharded by blob id so unrelated blobs do not
 //! serialize on one registry lock either. See the seqlock section of
 //! `docs/ARCHITECTURE.md` for the protocol and why it is safe against

@@ -279,9 +279,6 @@ pub struct VersionManager {
     read_views: AtomicU64,
     aborted: AtomicU64,
     renewals: AtomicU64,
-    /// `false` routes every hot read through the blob mutex — the
-    /// benchmarkable baseline behind `hot_blob_snapshot`'s A/B.
-    lockfree: bool,
     lockfree_reads: AtomicU64,
     probe_armed: std::sync::atomic::AtomicBool,
     publish_probe: Mutex<Option<PublishProbe>>,
@@ -307,19 +304,10 @@ impl VersionManager {
             read_views: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             renewals: AtomicU64::new(0),
-            lockfree: true,
             lockfree_reads: AtomicU64::new(0),
             probe_armed: std::sync::atomic::AtomicBool::new(false),
             publish_probe: Mutex::new(None),
         }
-    }
-
-    /// Enable or disable the seqlock hot read path (builder style; on
-    /// by default). Disabled, every read resolves under the blob mutex
-    /// — the baseline the `hot_blob_snapshot` bench compares against.
-    pub fn with_lockfree_reads(mut self, enabled: bool) -> Self {
-        self.lockfree = enabled;
-        self
     }
 
     /// Set the writer-lease TTL in logical ticks (builder style; must
@@ -773,14 +761,9 @@ impl VersionManager {
     /// is always readable. Served wait-free from the blob's seqlock
     /// cell: no blob mutex on this path.
     pub fn get_recent(&self, blob: BlobId) -> Result<Version> {
-        let state = self.blob_state(blob)?;
-        if self.lockfree {
-            let (words, _) = state.hot.read();
-            self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
-            return Ok(Version(words[0]));
-        }
-        let recent = state.inner.lock().recent_readable();
-        Ok(recent)
+        let (words, _) = self.blob_state(blob)?.hot.read();
+        self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+        Ok(Version(words[0]))
     }
 
     /// `true` when `v` is published for `blob` (aborted versions are
@@ -832,15 +815,13 @@ impl VersionManager {
     pub fn snapshot_view(&self, blob: BlobId, v: Version) -> Result<ReadView> {
         self.read_views.fetch_add(1, Ordering::Relaxed);
         let state = self.blob_state(blob)?;
-        if self.lockfree {
-            let (words, _) = state.hot.read();
-            if words[0] == v.raw() {
-                // The triple was the readable frontier at publication
-                // time and snapshots are immutable, so it is valid for
-                // `v` forever; the read linearizes at the seqlock load.
-                self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
-                return Ok(Self::view_from_words(&state, words));
-            }
+        let (words, _) = state.hot.read();
+        if words[0] == v.raw() {
+            // The triple was the readable frontier at publication time
+            // and snapshots are immutable, so it is valid for `v`
+            // forever; the read linearizes at the seqlock load.
+            self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+            return Ok(Self::view_from_words(&state, words));
         }
         let inner = state.inner.lock();
         if inner.is_aborted(v) {
@@ -873,26 +854,14 @@ impl VersionManager {
     /// version and its [`ReadView`], resolved from one wait-free
     /// seqlock read — the `(GET_RECENT, snapshot_view)` pair without
     /// the race window between the two calls and without the blob
-    /// mutex. Counts one read-view resolution and (when the seqlock
-    /// path is enabled) one [`VmStats::lockfree_reads`].
+    /// mutex. Counts one read-view resolution and one
+    /// [`VmStats::lockfree_reads`].
     pub fn latest_view(&self, blob: BlobId) -> Result<(Version, ReadView)> {
         self.read_views.fetch_add(1, Ordering::Relaxed);
         let state = self.blob_state(blob)?;
-        if self.lockfree {
-            let (words, _) = state.hot.read();
-            self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
-            return Ok((Version(words[0]), Self::view_from_words(&state, words)));
-        }
-        let inner = state.inner.lock();
-        let v = inner.recent_readable();
-        Ok((
-            v,
-            ReadView {
-                size: inner.size_of(v),
-                root: inner.root_of(v, self.psize),
-                lineage: inner.lineage.clone(),
-            },
-        ))
+        let (words, _) = state.hot.read();
+        self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+        Ok((Version(words[0]), Self::view_from_words(&state, words)))
     }
 
     /// `SYNC`: block until `v` is published or `timeout` elapses. A
