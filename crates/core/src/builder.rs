@@ -96,13 +96,6 @@ impl Builder {
         self
     }
 
-    /// Client-side metadata node cache capacity (0 disables). Tree
-    /// nodes are immutable, so the cache needs no invalidation.
-    pub fn metadata_cache(mut self, entries: usize) -> Self {
-        self.config.metadata_cache_entries = entries;
-        self
-    }
-
     /// Worker threads completing pipelined (non-blocking) updates —
     /// the practical bound on in-flight `write_pipelined` /
     /// `append_pipelined` completions making progress at once.
@@ -275,7 +268,6 @@ impl Builder {
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
         let meta = MetaStore::new(config.metadata_providers, wait)
-            .with_cache(config.metadata_cache_entries)
             .with_wait_slice(Duration::from_millis(config.metadata_wait_slice_ms));
         let metrics = EngineMetrics::new(meta.wait_latency(), config.data_providers);
         let providers = match stores {

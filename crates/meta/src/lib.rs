@@ -25,7 +25,6 @@
 //!   manager's overrides for in-flight concurrent updates (§4.2).
 
 pub mod build;
-pub mod cache;
 pub mod lineage;
 pub mod node;
 pub mod plan;
@@ -33,7 +32,6 @@ pub mod read;
 pub mod store;
 
 pub use build::{build_meta, resolve_borders, BorderSet, UpdateContext};
-pub use cache::NodeCache;
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};
 pub use plan::{read_plan, update_plan, ReadPlan, UpdatePlan};

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use blobseer_types::{
-    BlobError, ByteRange, NodePos, PageDescriptor, PageId, ProviderId, Result, Version,
+    BlobError, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Result, Version,
 };
 
 use crate::lineage::Lineage;
@@ -73,7 +73,8 @@ impl<'a> TreeReader<'a> {
 }
 
 /// `READ_META` (paper Algorithm 3): the page descriptors covering
-/// `request` in the snapshot rooted at `root`, sorted by page index.
+/// `request` in the snapshot rooted at `root`, sorted by page index —
+/// [`read_meta_multi`] over a one-range slice.
 ///
 /// The caller must have validated `request` against the snapshot size
 /// (the version manager's `GET_SIZE`); a `None` child encountered within
@@ -85,88 +86,50 @@ pub fn read_meta(
     request: ByteRange,
     psize: u64,
 ) -> Result<Vec<PageDescriptor>> {
-    let pages = request.pages(psize);
-    if pages.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::with_capacity(pages.count as usize);
-    let mut stack: Vec<(Version, NodePos)> = vec![(root.version, root.pos)];
-    while let Some((version, pos)) = stack.pop() {
-        let node = reader.fetch(version, pos, true)?;
-        match node {
-            TreeNode::Leaf { pid, provider, valid_len } => {
-                debug_assert!(pos.is_leaf());
-                out.push(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
-            }
-            TreeNode::Inner { left, right } => {
-                for (child, child_version) in [(pos.left(), left), (pos.right(), right)] {
-                    if !child.intersects(pages) {
-                        continue;
-                    }
-                    match child_version {
-                        Some(v) => stack.push((v, child)),
-                        None => {
-                            return Err(BlobError::Internal(format!(
-                                "tree {root:?}: missing child {child:?} inside request {request:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by_key(|pd| pd.page_index);
-    // Exactly one leaf per requested page.
-    if out.len() as u64 != pages.count || out.first().map(|p| p.page_index) != Some(pages.first) {
-        return Err(BlobError::Internal(format!(
-            "read_meta assembled {} descriptors for {} pages",
-            out.len(),
-            pages.count
-        )));
-    }
-    Ok(out)
+    read_meta_multi(reader, root, std::slice::from_ref(&request), psize)
 }
 
 /// Vectored `READ_META`: the page descriptors covering *any* of
 /// `requests` in the snapshot rooted at `root`, assembled in **one**
 /// tree traversal and sorted by page index.
 ///
-/// Equivalent to the union of per-request [`read_meta`] calls, but each
-/// shared tree node (in particular the upper levels, which every range
-/// visits) is fetched exactly once — the planning half of a vectored
-/// read. Descriptors are deduplicated: a page touched by several
-/// requests appears once. Empty requests are ignored; the caller must
-/// have validated every range against the snapshot size.
+/// Each shared tree node (in particular the upper levels, which every
+/// range visits) is fetched exactly once — the planning half of a
+/// vectored read. Descriptors are deduplicated: a page touched by
+/// several requests appears once. Empty requests are ignored; the
+/// caller must have validated every range against the snapshot size,
+/// so a `None` child inside a requested range, or a requested page
+/// without exactly one leaf, is [`BlobError::Internal`]. A node still
+/// being written is waited for (up to the store's timeout, then
+/// [`BlobError::Timeout`]).
 pub fn read_meta_multi(
     reader: &TreeReader<'_>,
     root: RootRef,
     requests: &[ByteRange],
     psize: u64,
 ) -> Result<Vec<PageDescriptor>> {
-    let page_ranges: Vec<_> =
-        requests.iter().map(|r| r.pages(psize)).filter(|p| !p.is_empty()).collect();
-    if page_ranges.is_empty() {
+    let page_ranges = || requests.iter().map(|r| r.pages(psize)).filter(|p| !p.is_empty());
+    let requested: u64 = page_ranges().map(|p| p.count).sum();
+    if requested == 0 {
         return Ok(Vec::new());
     }
-    let wanted = |pos: NodePos| page_ranges.iter().any(|&r| pos.intersects(r));
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(requested.min(root.pos.size) as usize);
     let mut stack: Vec<(Version, NodePos)> = vec![(root.version, root.pos)];
     while let Some((version, pos)) = stack.pop() {
-        let node = reader.fetch(version, pos, true)?;
-        match node {
+        match reader.fetch(version, pos, true)? {
             TreeNode::Leaf { pid, provider, valid_len } => {
                 out.push(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
             }
             TreeNode::Inner { left, right } => {
                 for (child, child_version) in [(pos.left(), left), (pos.right(), right)] {
-                    if !wanted(child) {
+                    if !page_ranges().any(|p| child.intersects(p)) {
                         continue;
                     }
                     match child_version {
                         Some(v) => stack.push((v, child)),
                         None => {
                             return Err(BlobError::Internal(format!(
-                                "tree {root:?}: missing child {child:?} inside a readv request"
+                                "tree {root:?}: missing child {child:?} inside request {requests:?}"
                             )))
                         }
                     }
@@ -174,22 +137,20 @@ pub fn read_meta_multi(
             }
         }
     }
-    out.sort_by_key(|pd| pd.page_index);
-    // Positions are unique per traversal, so each leaf appears at most
-    // once already; the count must match the union of requested pages.
-    let mut union_pages = 0u64;
-    let mut covered_until = 0u64;
-    let mut sorted = page_ranges;
-    sorted.sort_by_key(|r| r.first);
-    for r in sorted {
-        let start = r.first.max(covered_until);
-        union_pages += r.end().saturating_sub(start);
-        covered_until = covered_until.max(r.end());
-    }
-    if out.len() as u64 != union_pages {
+    out.sort_unstable_by_key(|pd| pd.page_index);
+    // Positions are unique per traversal and only requested subtrees
+    // are visited, so the result is exact when every requested range
+    // holds one descriptor per page.
+    let descriptors_in = |p: PageRange| {
+        out.partition_point(|pd| pd.page_index < p.end())
+            - out.partition_point(|pd| pd.page_index < p.first)
+    };
+    if let Some(p) = page_ranges().find(|&p| descriptors_in(p) as u64 != p.count) {
         return Err(BlobError::Internal(format!(
-            "read_meta_multi assembled {} descriptors for {union_pages} pages",
-            out.len(),
+            "read_meta assembled {} descriptors for the {} pages from {}",
+            descriptors_in(p),
+            p.count,
+            p.first
         )));
     }
     Ok(out)
@@ -319,10 +280,39 @@ mod tests {
         assert_eq!(pds.len(), 4);
         // Empty requests contribute nothing.
         assert!(read_meta_multi(&reader, root, &[ByteRange::new(8, 0)], 4).unwrap().is_empty());
-        // Matches per-range read_meta unions.
-        let single = read_meta(&reader, root, ByteRange::new(5, 6), 4).unwrap();
-        let multi = read_meta_multi(&reader, root, &[ByteRange::new(5, 6)], 4).unwrap();
-        assert_eq!(single, multi);
+        // Matches the union of per-range read_meta calls.
+        let mut union = read_meta(&reader, root, ByteRange::new(0, 4), 4).unwrap();
+        union.extend(read_meta(&reader, root, ByteRange::new(13, 3), 4).unwrap());
+        let multi =
+            read_meta_multi(&reader, root, &[ByteRange::new(13, 3), ByteRange::new(0, 4)], 4)
+                .unwrap();
+        assert_eq!(union, multi);
+    }
+
+    #[test]
+    fn malformed_tree_inside_the_request_is_internal() {
+        let (store, lineage) = fig1a_store();
+        let k = |v: u64, o: u64, s: u64| NodeKey {
+            blob: BlobId(1),
+            version: Version(v),
+            pos: NodePos::new(o, s),
+        };
+        // v2's root lost its right child; v3's right child is a leaf
+        // standing in for a two-page subtree.
+        store.put(k(2, 0, 4), TreeNode::Inner { left: Some(Version(1)), right: None });
+        store.put(k(3, 0, 4), TreeNode::Inner { left: Some(Version(1)), right: Some(Version(3)) });
+        store.put(
+            k(3, 2, 2),
+            TreeNode::Leaf { pid: PageId(300), provider: ProviderId(0), valid_len: 4 },
+        );
+        let reader = TreeReader::new(&store, &lineage);
+        let root = |v: u64| RootRef { version: Version(v), pos: NodePos::new(0, 4) };
+        // Requests that stay in the intact left half still succeed.
+        assert_eq!(read_meta(&reader, root(2), ByteRange::new(0, 8), 4).unwrap().len(), 2);
+        for v in [2, 3] {
+            let err = read_meta(&reader, root(v), ByteRange::new(8, 8), 4).unwrap_err();
+            assert!(matches!(err, BlobError::Internal(_)), "v{v}: {err:?}");
+        }
     }
 
     #[test]

@@ -145,11 +145,12 @@ impl DataProvider {
         if self.is_draining() || self.is_retired() {
             return Err(BlobError::ProviderUnavailable(self.id));
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+        let len = data.len() as u64;
         let sum = page_checksum(&data);
         self.store.store(pid, data)?;
         self.checksums.write().insert(pid, sum);
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written.fetch_add(len, Ordering::Relaxed);
         Ok(())
     }
 
@@ -189,10 +190,10 @@ impl DataProvider {
     /// Fetch a whole page, checksum-verified.
     pub fn fetch_page(&self, pid: PageId) -> Result<Bytes> {
         self.check_available()?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let out =
             self.store.fetch(pid).map_err(|_| BlobError::PageMissing { pid, provider: self.id })?;
         self.verify(pid, &out)?;
+        self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
@@ -205,7 +206,6 @@ impl DataProvider {
     /// the allocation) and the price of integrity for file-backed ones.
     pub fn fetch_page_range(&self, pid: PageId, offset: u64, len: u64) -> Result<Bytes> {
         self.check_available()?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let page =
             self.store.fetch(pid).map_err(|_| BlobError::PageMissing { pid, provider: self.id })?;
         self.verify(pid, &page)?;
@@ -218,6 +218,7 @@ impl DataProvider {
             )));
         }
         let out = page.slice(off..end);
+        self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
@@ -394,6 +395,7 @@ pub struct ScrubPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::store::MemoryPageStore;
 
     fn provider() -> DataProvider {
@@ -413,6 +415,37 @@ mod tests {
         assert_eq!(s.reads, 2);
         assert_eq!(s.bytes_written, 6);
         assert_eq!(s.bytes_read, 9);
+    }
+
+    #[test]
+    fn failed_requests_are_not_counted_as_served() {
+        let plan = Arc::new(FaultPlan::new(Arc::new(MemoryPageStore::new())));
+        let p = DataProvider::new(ProviderId(7), Arc::clone(&plan) as Arc<dyn PageStore>);
+        p.store_page(PageId(1), Bytes::from_static(b"payload")).unwrap();
+        p.fetch_page(PageId(1)).unwrap();
+        let served = |p: &DataProvider| {
+            let s = p.stats();
+            (s.writes, s.bytes_written, s.reads, s.bytes_read)
+        };
+        let before = served(&p);
+        assert_eq!(before, (1, 7, 1, 7));
+
+        // A store the backing store refuses.
+        plan.fail_next_stores(1);
+        assert!(p.store_page(PageId(2), Bytes::from_static(b"lost")).is_err());
+        assert_eq!(served(&p), before, "failed store");
+
+        // A missing page.
+        assert!(matches!(p.fetch_page(PageId(3)), Err(BlobError::PageMissing { .. })));
+        assert!(matches!(p.fetch_page_range(PageId(3), 0, 1), Err(BlobError::PageMissing { .. })));
+        assert_eq!(served(&p), before, "missing page");
+
+        // A corrupted copy: counted as detected, not as served.
+        assert!(plan.corrupt_stored_page(PageId(1)).unwrap());
+        assert!(matches!(p.fetch_page(PageId(1)), Err(BlobError::PageCorrupt { .. })));
+        assert!(matches!(p.fetch_page_range(PageId(1), 0, 3), Err(BlobError::PageCorrupt { .. })));
+        assert_eq!(served(&p), before, "corrupt copy");
+        assert_eq!(p.stats().corrupt_detected, 2);
     }
 
     #[test]

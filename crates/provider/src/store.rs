@@ -165,13 +165,11 @@ impl FilePageStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let store = FilePageStore { dir, pages: AtomicU64::new(0), bytes: AtomicU64::new(0) };
-        // Recover counters from a pre-existing directory.
-        for entry in fs::read_dir(&store.dir)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                store.pages.fetch_add(1, Ordering::Relaxed);
-                store.bytes.fetch_add(entry.metadata()?.len(), Ordering::Relaxed);
-            }
+        // Recover counters from a pre-existing directory, counting the
+        // same page files `scan` reports.
+        for (_, len) in store.scan()? {
+            store.pages.fetch_add(1, Ordering::Relaxed);
+            store.bytes.fetch_add(len, Ordering::Relaxed);
         }
         Ok(store)
     }
@@ -341,6 +339,23 @@ mod tests {
         assert_eq!(s2.page_count(), 1);
         assert_eq!(s2.stored_bytes(), 7);
         assert_eq!(s2.fetch(pid(9)).unwrap(), Bytes::from_static(b"persist"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_store_reopen_ignores_foreign_files() {
+        let dir = std::env::temp_dir().join(format!("blobseer-fps-foreign-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        {
+            let s = FilePageStore::open(&dir).unwrap();
+            s.store(pid(1), Bytes::from_static(b"page one")).unwrap();
+            s.store(pid(2), Bytes::from_static(b"two")).unwrap();
+        }
+        fs::write(dir.join("notes.txt"), b"not a page at all").unwrap();
+        let s = FilePageStore::open(&dir).unwrap();
+        assert_eq!(s.page_count(), s.scan().unwrap().len());
+        assert_eq!(s.page_count(), 2);
+        assert_eq!(s.stored_bytes(), 11, "page bytes only");
         fs::remove_dir_all(&dir).unwrap();
     }
 

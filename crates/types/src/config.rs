@@ -31,9 +31,6 @@ pub struct StoreConfig {
     /// registry order, so replica locations are derivable without any
     /// extra metadata.
     pub replication: usize,
-    /// Entries in the client-side metadata node cache (0 disables it).
-    /// Tree nodes are immutable, so the cache needs no invalidation.
-    pub metadata_cache_entries: usize,
     /// Worker threads completing pipelined (non-blocking) updates:
     /// boundary merges, metadata weaving and version-manager
     /// notification of `write_pipelined`/`append_pipelined` run here so
@@ -135,7 +132,6 @@ impl Default for StoreConfig {
             metadata_wait_ms: 10_000,
             client_io_threads: 8,
             replication: 1,
-            metadata_cache_entries: 0,
             pipeline_threads: 4,
             lease_ttl_ticks: 1 << 20,
             lease_tick_interval_ms: 0,
