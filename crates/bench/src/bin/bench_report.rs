@@ -47,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let mut pr: u32 = 12;
+    let mut pr: u32 = 14;
     let mut out: Option<String> = None;
     let mut params = ReportParams::fast();
     let mut mode = "fast";

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blobseer_meta::MetaStore;
-use blobseer_provider::{AllocationStrategy, DataProvider, PageStore, ProviderManager};
+use blobseer_provider::{DataProvider, PageStore, ProviderManager};
 use blobseer_rt::ThreadPool;
 use blobseer_types::{BlobError, PageIdGen, ProviderId, QosConfig, Result, StoreConfig};
 use blobseer_version::{ConcurrencyMode, VersionManager};
@@ -18,10 +18,11 @@ use crate::BlobSeer;
 /// Defaults mirror [`StoreConfig::default`]: 64 KiB pages (the paper's
 /// smaller evaluation page size), 16 data + 16 metadata providers,
 /// round-robin placement and the paper's concurrent metadata mode.
+/// Placement, the store retry (one retry on the same provider, then
+/// failover) and the 250 ms metadata wait slice have no setter.
 #[derive(Clone)]
 pub struct Builder {
     config: StoreConfig,
-    strategy: AllocationStrategy,
     mode: ConcurrencyMode,
     stores: Option<Vec<Arc<dyn PageStore>>>,
     qos: Option<QosConfig>,
@@ -31,7 +32,6 @@ impl std::fmt::Debug for Builder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Builder")
             .field("config", &self.config)
-            .field("strategy", &self.strategy)
             .field("mode", &self.mode)
             .field("custom_stores", &self.stores.as_ref().map(Vec::len))
             .field("qos", &self.qos)
@@ -44,7 +44,6 @@ impl Builder {
     pub fn new() -> Self {
         Builder {
             config: StoreConfig::default(),
-            strategy: AllocationStrategy::RoundRobin,
             mode: ConcurrencyMode::Concurrent,
             stores: None,
             qos: None,
@@ -78,12 +77,6 @@ impl Builder {
     /// Bound on blocking waits (SYNC, in-flight metadata nodes).
     pub fn metadata_wait(mut self, timeout: Duration) -> Self {
         self.config.metadata_wait_ms = timeout.as_millis() as u64;
-        self
-    }
-
-    /// Page-to-provider placement strategy.
-    pub fn allocation(mut self, strategy: AllocationStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -144,36 +137,6 @@ impl Builder {
     /// ```
     pub fn lease_tick_interval_ms(mut self, ms: u64) -> Self {
         self.config.lease_tick_interval_ms = ms;
-        self
-    }
-
-    /// Extra store attempts per replica target before write-path
-    /// failover gives up on it (see
-    /// [`StoreConfig::store_retry_attempts`]); `0` fails over on the
-    /// first error.
-    pub fn store_retry_attempts(mut self, attempts: u32) -> Self {
-        self.config.store_retry_attempts = attempts;
-        self
-    }
-
-    /// Base of the deterministic linear backoff between store retries:
-    /// attempt *n* sleeps `n ×` this duration (see
-    /// [`StoreConfig::store_retry_backoff_ms`]). Default 0 (no sleep),
-    /// which is what failure-injection tests want.
-    pub fn store_retry_backoff(mut self, base: Duration) -> Self {
-        self.config.store_retry_backoff_ms = base.as_millis() as u64;
-        self
-    }
-
-    /// Slice length for blocked metadata waits (see
-    /// [`StoreConfig::metadata_wait_slice_ms`]): a thread blocked on an
-    /// in-flight tree node wakes every slice to run the lease-sweep
-    /// self-help hook — *wait a bit, self-help, retry* — instead of
-    /// sleeping out the full [`Builder::metadata_wait`] behind a dead
-    /// writer. `Duration::ZERO` disables slicing (plain full-timeout
-    /// waits); the overall deadline is unchanged either way.
-    pub fn metadata_wait_slice(mut self, slice: Duration) -> Self {
-        self.config.metadata_wait_slice_ms = slice.as_millis() as u64;
         self
     }
 
@@ -258,7 +221,7 @@ impl Builder {
 
     /// Validate the configuration and assemble the deployment.
     pub fn build(self) -> Result<BlobSeer> {
-        let Builder { mut config, strategy, mode, stores, qos } = self;
+        let Builder { mut config, mode, stores, qos } = self;
         if let Some(stores) = &stores {
             config.data_providers = stores.len();
         }
@@ -267,8 +230,7 @@ impl Builder {
             q.validate().map_err(BlobError::Storage)?;
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
-        let meta = MetaStore::new(config.metadata_providers, wait)
-            .with_wait_slice(Duration::from_millis(config.metadata_wait_slice_ms));
+        let meta = MetaStore::new(config.metadata_providers, wait);
         let metrics = EngineMetrics::new(meta.wait_latency(), config.data_providers);
         let providers = match stores {
             Some(stores) => ProviderManager::new(
@@ -277,9 +239,8 @@ impl Builder {
                     .enumerate()
                     .map(|(i, s)| Arc::new(DataProvider::new(ProviderId(i as u32), s)))
                     .collect(),
-                strategy,
             ),
-            None => ProviderManager::with_memory_providers(config.data_providers, strategy),
+            None => ProviderManager::with_memory_providers(config.data_providers),
         };
         let engine = Engine {
             vm: VersionManager::new(config.page_size, mode, wait)
@@ -419,7 +380,6 @@ mod tests {
             .metadata_providers(5)
             .io_threads(2)
             .metadata_wait(Duration::from_millis(1234))
-            .allocation(AllocationStrategy::LeastLoaded)
             .concurrency_mode(ConcurrencyMode::SerializedMetadata)
             .build()
             .unwrap();

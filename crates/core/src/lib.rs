@@ -134,8 +134,7 @@ pub use write::CrashPoint;
 // Re-export the vocabulary a user needs to drive the API — including
 // the fault-injection seam ([`Builder::page_stores`] + [`FaultPlan`]).
 pub use blobseer_provider::{
-    AllocationStrategy, FaultPlan, FilePageStore, MembershipCounts, MemoryPageStore, PageStore,
-    PlacementCandidate, PlacementPolicy, ProviderStats,
+    FaultPlan, FilePageStore, MembershipCounts, MemoryPageStore, PageStore, ProviderStats,
 };
 pub use blobseer_types::{
     BlobError, BlobId, ByteRange, PageId, ProviderId, QosConfig, Result, StoreConfig, TenantId,
@@ -487,29 +486,6 @@ impl BlobSeer {
     /// `blobseer_providers_*` gauges by [`BlobSeer::metrics_text`].
     pub fn membership(&self) -> MembershipCounts {
         self.engine.providers.membership()
-    }
-
-    /// Hot-swap the page-placement policy to a built-in strategy. Only
-    /// new allocations are affected: every stored page keeps its
-    /// location, and replica chains are a function of registry order,
-    /// not of placement — so the swap never invalidates a leaf.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # let store = blobseer::BlobSeer::builder().page_size(64).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
-    /// store.set_placement(blobseer::AllocationStrategy::LeastLoaded);
-    /// # Ok::<(), blobseer::BlobError>(())
-    /// ```
-    pub fn set_placement(&self, strategy: AllocationStrategy) {
-        self.engine.providers.set_placement(strategy);
-    }
-
-    /// [`BlobSeer::set_placement`] with a caller-implemented
-    /// [`PlacementPolicy`] trait object.
-    pub fn set_placement_policy(&self, policy: Arc<dyn PlacementPolicy>) {
-        self.engine.providers.set_placement_policy(policy);
     }
 
     /// The deployment's configuration.

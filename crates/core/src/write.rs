@@ -398,14 +398,13 @@ fn store_boundary_pages(
 /// along the same deterministic chain (and past it, in registry
 /// order — see [`blobseer_provider::ProviderManager::fallbacks_of`]).
 ///
-/// Failure discipline per target: up to `store_retry_attempts` extra
-/// attempts with deterministic linear backoff
-/// (`attempt * store_retry_backoff_ms`), then the copy is re-placed on
-/// the next live fallback provider past the chain. Each re-placement
-/// counts one `failovers_total`; publishing fewer copies than the
-/// chain wanted counts one `under_replicated_stores_total` (the
-/// repairer's cue). The update only fails when *no* provider in the
-/// deployment accepted the page.
+/// Failure discipline per target: one immediate retry on the same
+/// provider, then the copy is re-placed on the next live fallback
+/// provider past the chain. Each re-placement counts one
+/// `failovers_total`; publishing fewer copies than the chain wanted
+/// counts one `under_replicated_stores_total` (the repairer's cue).
+/// The update only fails when *no* provider in the deployment accepted
+/// the page.
 ///
 /// `payload` is refcounted, so every copy is a cheap clone of the same
 /// window — no byte is ever copied per replica (with zero-copy
@@ -459,10 +458,10 @@ pub(crate) fn store_one_replicated(
     Ok(())
 }
 
-/// One target's share of a replicated store: the initial attempt plus
-/// up to `store_retry_attempts` retries, sleeping
-/// `attempt * store_retry_backoff_ms` between tries (linear, fully
-/// deterministic — no jitter, so failure tests replay exactly).
+/// One target's share of a replicated store: the attempt plus one
+/// immediate retry, which catches a transient fault (a flaky store
+/// erroring one request); a durable one (provider offline) fails both
+/// and the caller fails over.
 fn store_with_retry(
     engine: &Arc<Engine>,
     target: ProviderId,
@@ -470,28 +469,14 @@ fn store_with_retry(
     payload: &Bytes,
 ) -> Result<()> {
     let timer = Timer::start();
-    let mut attempt = 0u32;
-    loop {
-        match engine.providers.provider(target).and_then(|p| p.store_page(pid, payload.clone())) {
-            Ok(()) => {
-                // Per-provider store split: the whole attempt sequence
-                // (including backoff) lands on the provider that finally
-                // accepted — which is what a capacity dashboard wants.
-                if let Some(hist) = engine.metrics.provider_store_latency.get(target.0 as usize) {
-                    timer.stop(hist);
-                }
-                return Ok(());
-            }
-            Err(e) if attempt >= engine.config.store_retry_attempts => return Err(e),
-            Err(_) => {
-                attempt += 1;
-                let backoff = attempt as u64 * engine.config.store_retry_backoff_ms;
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
-        }
+    let store = || engine.providers.provider(target)?.store_page(pid, payload.clone());
+    store().or_else(|_| store())?;
+    // Per-provider store split: both attempts land on the provider
+    // that accepted — which is what a capacity dashboard wants.
+    if let Some(hist) = engine.metrics.provider_store_latency.get(target.0 as usize) {
+        timer.stop(hist);
     }
+    Ok(())
 }
 
 /// Read bytes of snapshot `vw − 1` (the update's predecessor), waiting

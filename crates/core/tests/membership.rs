@@ -320,10 +320,10 @@ fn drain_refuses_last_survivor_and_double_drain() {
     assert_eq!(read_all(&blob, v).len(), 100);
 }
 
-/// A join after drains reuses no retired id, and placement hot-swap
-/// applies to the next allocation without a rebuild.
+/// A join after drains reuses no retired id, and the grown deployment
+/// serves and repairs new appends.
 #[test]
-fn join_after_drain_and_placement_hot_swap() {
+fn join_after_drain_reuses_no_retired_id() {
     let (store, _handles) = store_with_handles(3);
     store.drain_provider(ProviderId(1)).unwrap();
 
@@ -332,7 +332,6 @@ fn join_after_drain_and_placement_hot_swap() {
     let members = store.membership();
     assert_eq!((members.registered, members.active, members.retired), (4, 3, 1));
 
-    store.set_placement(blobseer::AllocationStrategy::LeastLoaded);
     let blob = store.create();
     for i in 0..3 {
         let v = blob.append_bytes(fill(150, 60 + i)).unwrap();

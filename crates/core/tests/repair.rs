@@ -70,6 +70,39 @@ fn offline_provider_fails_over_and_counts() {
     assert_eq!(read_all(&blob), [data.clone(), data.clone()].concat());
 }
 
+/// The write path retries a failed store once on the same provider,
+/// then re-places the copy on the next provider in registry order.
+#[test]
+fn one_retry_on_the_target_then_failover() {
+    let (store, plans) = faulty_store(4, 1);
+    let blob = store.create();
+    let pages_on = |store: &BlobSeer| -> Vec<usize> {
+        store.stats().providers.iter().map(|p| p.pages).collect()
+    };
+
+    // Round-robin places the first page on provider 0. One failed
+    // store there is absorbed by the retry: no failover.
+    plans[0].fail_next_stores(1);
+    let first: Vec<u8> = (0..PSIZE).map(|i| i as u8).collect();
+    let v = blob.append(&first).unwrap();
+    blob.sync(v).unwrap();
+    assert_eq!(plans[0].injected_errors(), 1);
+    assert_eq!(pages_on(&store), vec![1, 0, 0, 0]);
+    assert_eq!(store.stats_snapshot().failovers_total, 0);
+
+    // The second page targets provider 1, which fails both the store
+    // and its retry: the copy fails over to provider 2.
+    plans[1].fail_next_stores(2);
+    let second: Vec<u8> = (0..PSIZE).map(|i| 255 - i as u8).collect();
+    let v = blob.append(&second).unwrap();
+    blob.sync(v).unwrap();
+    assert_eq!(plans[1].injected_errors(), 2);
+    assert_eq!(pages_on(&store), vec![1, 0, 1, 0]);
+    assert_eq!(store.stats_snapshot().failovers_total, 1);
+
+    assert_eq!(read_all(&blob), [first, second].concat());
+}
+
 #[test]
 fn no_live_provider_fails_the_update_typed() {
     let (store, plans) = faulty_store(2, 2);
@@ -223,7 +256,6 @@ fn sliced_wait_self_help_recovers_a_blocked_writer() {
         .pipeline_threads(1)
         .lease_ttl_ticks(5)
         .metadata_wait(Duration::from_secs(30))
-        .metadata_wait_slice(Duration::from_millis(10))
         .build()
         .unwrap();
     let blob = store.create();

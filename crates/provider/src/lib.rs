@@ -12,10 +12,11 @@
 //!   in-memory implementation ([`MemoryPageStore`]) and a file-backed
 //!   one ([`FilePageStore`]);
 //! * [`DataProvider`] — one storage node: a store plus access counters;
-//! * [`ProviderManager`] + [`AllocationStrategy`] — page-to-provider
-//!   placement. §4.3 notes that the placement strategy "plays a central
-//!   role in minimizing ... conflicts that lead to serialization", so
-//!   several strategies are provided and compared in the benches;
+//! * [`ProviderManager`] — the provider registry and round-robin
+//!   page-to-provider placement (§4.3 notes that the placement strategy
+//!   "plays a central role in minimizing ... conflicts that lead to
+//!   serialization"; rotation spreads each update's pages over distinct
+//!   providers);
 //! * [`FaultPlan`] — composable fault injection (offline, one-shot and
 //!   probabilistic I/O errors, latency, bit-flip corruption) wrapping
 //!   any store, so provider failure is a first-class, testable event.
@@ -25,15 +26,10 @@
 
 mod fault;
 mod manager;
-mod placement;
 mod provider;
 mod store;
 
 pub use fault::FaultPlan;
-pub use manager::{AllocationStrategy, MembershipCounts, ProviderManager};
-pub use placement::{
-    LeastLoadedPolicy, PlacementCandidate, PlacementPolicy, PowerOfTwoPolicy, RandomPolicy,
-    RoundRobinPolicy,
-};
+pub use manager::{MembershipCounts, ProviderManager};
 pub use provider::{DataProvider, ProviderStats, ScrubPass};
 pub use store::{FilePageStore, MemoryPageStore, PageStore};

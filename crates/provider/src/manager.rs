@@ -1,53 +1,13 @@
-//! The provider manager and its page-to-provider allocation strategies.
+//! The provider manager: the provider registry and page placement.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blobseer_types::{BlobError, ProviderId, Result};
 use parking_lot::RwLock;
 
-use crate::placement::{
-    LeastLoadedPolicy, PlacementCandidate, PlacementPolicy, PowerOfTwoPolicy, RandomPolicy,
-    RoundRobinPolicy,
-};
 use crate::provider::{DataProvider, ProviderStats};
 use crate::store::{MemoryPageStore, PageStore};
-
-/// Page-to-provider placement policy (paper §3.1: "a strategy aiming at
-/// ensuring an even distribution of pages among providers"; §4.3 calls
-/// the strategy "central" to minimising serialization conflicts).
-///
-/// The enum names the built-in policies; at runtime the manager holds
-/// the policy as a swappable trait object ([`PlacementPolicy`]), so a
-/// deployment can switch strategies live via
-/// [`ProviderManager::set_placement`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocationStrategy {
-    /// Deterministic rotation — the baseline "even distribution". Also
-    /// what the figure simulations assume, so placement there matches
-    /// the real engine exactly.
-    RoundRobin,
-    /// Uniform random placement (seeded for reproducibility).
-    Random,
-    /// Always pick the providers currently storing the fewest bytes.
-    LeastLoaded,
-    /// Two random candidates, keep the less loaded (the classic
-    /// power-of-two-choices load balancer).
-    PowerOfTwoChoices,
-}
-
-impl AllocationStrategy {
-    /// Instantiate the built-in [`PlacementPolicy`] this name stands
-    /// for. Each call returns a fresh policy object with fresh state
-    /// (rotation cursor at zero, RNG at the deployment's fixed seed).
-    pub fn policy(self) -> Arc<dyn PlacementPolicy> {
-        match self {
-            AllocationStrategy::RoundRobin => Arc::new(RoundRobinPolicy::default()),
-            AllocationStrategy::Random => Arc::new(RandomPolicy::new()),
-            AllocationStrategy::LeastLoaded => Arc::new(LeastLoadedPolicy),
-            AllocationStrategy::PowerOfTwoChoices => Arc::new(PowerOfTwoPolicy::new()),
-        }
-    }
-}
 
 /// Point-in-time membership census of the deployment; see
 /// [`ProviderManager::membership`].
@@ -65,10 +25,12 @@ pub struct MembershipCounts {
     pub retired: usize,
 }
 
-/// The provider manager: registry of data providers plus the placement
-/// policy. Providers may join dynamically ([`ProviderManager::register`])
-/// and leave via drain-then-retire, mirroring the paper's "new data
-/// providers may dynamically join and leave the system".
+/// The provider manager: registry of data providers plus round-robin
+/// page placement (paper §3.1: "a strategy aiming at ensuring an even
+/// distribution of pages among providers"). Providers may join
+/// dynamically ([`ProviderManager::register`]) and leave via
+/// drain-then-retire, mirroring the paper's "new data providers may
+/// dynamically join and leave the system".
 ///
 /// **Retired providers stay in the registry as tombstones.** Every
 /// replica chain and failover sequence is a pure function of registry
@@ -76,47 +38,29 @@ pub struct MembershipCounts {
 /// copies. Instead, retirement flags the provider and every walk skips
 /// it; the position — and with it the determinism of
 /// [`Self::replicas_of`]/[`Self::fallbacks_of`] — survives arbitrarily
-/// many membership changes.
+/// many membership changes. Placement only decides where *new*
+/// primaries go, so it never invalidates a stored leaf.
 pub struct ProviderManager {
     providers: RwLock<Vec<Arc<DataProvider>>>,
-    policy: RwLock<Arc<dyn PlacementPolicy>>,
+    /// Round-robin cursor: pages placed so far.
+    next: AtomicU64,
 }
 
 impl ProviderManager {
     /// Manager over `n` fresh in-memory providers.
-    pub fn with_memory_providers(n: usize, strategy: AllocationStrategy) -> Self {
+    pub fn with_memory_providers(n: usize) -> Self {
         let providers = (0..n)
             .map(|i| {
                 Arc::new(DataProvider::new(ProviderId(i as u32), Arc::new(MemoryPageStore::new())))
             })
             .collect();
-        Self::new(providers, strategy)
+        Self::new(providers)
     }
 
     /// Manager over pre-built providers.
-    pub fn new(providers: Vec<Arc<DataProvider>>, strategy: AllocationStrategy) -> Self {
+    pub fn new(providers: Vec<Arc<DataProvider>>) -> Self {
         assert!(!providers.is_empty(), "at least one data provider required");
-        ProviderManager {
-            providers: RwLock::new(providers),
-            policy: RwLock::new(strategy.policy()),
-        }
-    }
-
-    /// The active placement policy's name.
-    pub fn placement_name(&self) -> &'static str {
-        self.policy.read().name()
-    }
-
-    /// Hot-swap the placement policy to a built-in strategy. Only new
-    /// allocations are affected; every already-stored page keeps its
-    /// location and its registry-order replica chain.
-    pub fn set_placement(&self, strategy: AllocationStrategy) {
-        self.set_placement_policy(strategy.policy());
-    }
-
-    /// Hot-swap to an arbitrary [`PlacementPolicy`] implementation.
-    pub fn set_placement_policy(&self, policy: Arc<dyn PlacementPolicy>) {
-        *self.policy.write() = policy;
+        ProviderManager { providers: RwLock::new(providers), next: AtomicU64::new(0) }
     }
 
     /// Number of registered providers (tombstones included).
@@ -180,32 +124,30 @@ impl ProviderManager {
     }
 
     /// Choose `n` providers to receive `n` new pages (paper Algorithm 2
-    /// line 2: "PP ← the list of n page providers"). Providers repeat
-    /// when `n` exceeds the deployment size. Failed, draining and
-    /// retired providers are skipped; errors when no provider is
-    /// eligible.
+    /// line 2: "PP ← the list of n page providers"), rotating over the
+    /// eligible providers in registry order; the rotation continues
+    /// across calls. Providers repeat when `n` exceeds the deployment
+    /// size. Failed, draining and retired providers are skipped; errors
+    /// when no provider is eligible.
     pub fn allocate(&self, n: usize) -> Result<Vec<ProviderId>> {
-        let candidates: Vec<PlacementCandidate> = {
-            let all = self.providers.read();
-            all.iter()
-                .filter(|p| p.is_available() && !p.is_draining() && !p.is_retired())
-                .map(|p| PlacementCandidate { id: p.id(), stored_bytes: p.stored_bytes() })
-                .collect()
-        };
-        if candidates.is_empty() {
+        let providers = self.providers.read();
+        let eligible = providers
+            .iter()
+            .filter(|p| p.is_available() && !p.is_draining() && !p.is_retired())
+            .map(|p| p.id());
+        let count = eligible.clone().count() as u64;
+        if count == 0 {
             return Err(BlobError::NoAvailableProvider);
         }
-        let policy = Arc::clone(&self.policy.read());
-        let picks = policy.place(&candidates, n);
+        let start = self.next.fetch_add(n as u64, Ordering::Relaxed) % count;
+        let mut picks = Vec::with_capacity(n);
+        picks.extend(eligible.cycle().skip(start as usize).take(n));
+        // Eligibility flags flip without the registry lock; a provider
+        // set that emptied mid-rotation is the same error as an empty one.
         if picks.len() != n {
-            return Err(BlobError::Internal(format!(
-                "placement policy '{}' returned {} placements for {} pages",
-                policy.name(),
-                picks.len(),
-                n
-            )));
+            return Err(BlobError::NoAvailableProvider);
         }
-        Ok(picks.into_iter().map(|i| candidates[i % candidates.len()].id).collect())
+        Ok(picks)
     }
 
     /// The live successors of `primary` in registry order (wrapping,
@@ -321,10 +263,7 @@ impl ProviderManager {
 
 impl std::fmt::Debug for ProviderManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProviderManager")
-            .field("providers", &self.provider_count())
-            .field("placement", &self.placement_name())
-            .finish()
+        f.debug_struct("ProviderManager").field("providers", &self.provider_count()).finish()
     }
 }
 
@@ -346,7 +285,7 @@ mod tests {
 
     #[test]
     fn round_robin_is_perfectly_even() {
-        let mgr = ProviderManager::with_memory_providers(7, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(7);
         let ids = mgr.allocate(70).unwrap();
         let mut counts = vec![0usize; 7];
         for id in ids {
@@ -357,7 +296,7 @@ mod tests {
 
     #[test]
     fn round_robin_continues_across_allocations() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         let a = mgr.allocate(3).unwrap();
         let b = mgr.allocate(3).unwrap();
         assert_eq!(a, vec![ProviderId(0), ProviderId(1), ProviderId(2)]);
@@ -365,57 +304,15 @@ mod tests {
     }
 
     #[test]
-    fn random_covers_all_providers_eventually() {
-        let mgr = ProviderManager::with_memory_providers(8, AllocationStrategy::Random);
-        let ids = mgr.allocate(1000).unwrap();
-        let mut seen = [false; 8];
-        for id in &ids {
-            seen[id.raw() as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn least_loaded_prefers_empty_providers() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::LeastLoaded);
-        // Pre-load provider 0 heavily.
-        mgr.provider(ProviderId(0))
-            .unwrap()
-            .store_page(PageId(999), Bytes::from(vec![0u8; 10_000]))
-            .unwrap();
-        let ids = mgr.allocate(2).unwrap();
-        assert!(!ids.contains(&ProviderId(0)), "{ids:?}");
-    }
-
-    #[test]
-    fn power_of_two_choices_balances() {
-        let mgr = ProviderManager::with_memory_providers(10, AllocationStrategy::PowerOfTwoChoices);
-        for round in 0..100 {
-            let ids = mgr.allocate(10).unwrap();
-            for (i, id) in ids.iter().enumerate() {
-                mgr.provider(*id)
-                    .unwrap()
-                    .store_page(PageId((round * 100 + i) as u128), Bytes::from(vec![0u8; 100]))
-                    .unwrap();
-            }
-        }
-        let stats = mgr.stats();
-        let max = stats.iter().map(|s| s.pages).max().unwrap();
-        let min = stats.iter().map(|s| s.pages).min().unwrap();
-        // p2c keeps the gap tight: no provider more than ~2x any other.
-        assert!(max <= min * 2 + 10, "max={max} min={min}");
-    }
-
-    #[test]
     fn allocate_more_than_providers_repeats() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(3);
         let ids = mgr.allocate(10).unwrap();
         assert_eq!(ids.len(), 10);
     }
 
     #[test]
     fn register_grows_deployment() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         assert_eq!(mgr.provider_count(), 2);
         mgr.register(Arc::new(DataProvider::new(ProviderId(2), Arc::new(MemoryPageStore::new()))));
         assert_eq!(mgr.provider_count(), 3);
@@ -424,7 +321,7 @@ mod tests {
 
     #[test]
     fn add_provider_assigns_next_free_id_and_is_eligible() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         let id = mgr.add_provider(Arc::new(MemoryPageStore::new()));
         assert_eq!(id, ProviderId(2));
         assert_eq!(mgr.membership().active, 3);
@@ -437,7 +334,7 @@ mod tests {
 
     #[test]
     fn unknown_provider_is_error() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         assert!(matches!(
             mgr.provider(ProviderId(9)),
             Err(BlobError::ProviderNotFound(ProviderId(9)))
@@ -446,7 +343,7 @@ mod tests {
 
     #[test]
     fn allocate_skips_failed_providers() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         mgr.provider(ProviderId(1)).unwrap().fail();
         let ids = mgr.allocate(30).unwrap();
         assert!(!ids.contains(&ProviderId(1)), "{ids:?}");
@@ -457,7 +354,7 @@ mod tests {
 
     #[test]
     fn allocate_skips_draining_and_retired_providers() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(3);
         mgr.provider(ProviderId(0)).unwrap().begin_drain();
         mgr.provider(ProviderId(2)).unwrap().retire();
         let ids = mgr.allocate(10).unwrap();
@@ -471,29 +368,15 @@ mod tests {
 
     #[test]
     fn allocate_fails_when_all_providers_down() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::Random);
+        let mgr = ProviderManager::with_memory_providers(2);
         mgr.provider(ProviderId(0)).unwrap().fail();
         mgr.provider(ProviderId(1)).unwrap().fail();
         assert!(matches!(mgr.allocate(1), Err(BlobError::NoAvailableProvider)));
     }
 
     #[test]
-    fn set_placement_swaps_live() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
-        assert_eq!(mgr.placement_name(), "round_robin");
-        // Load provider 0; least-loaded must now avoid it.
-        mgr.provider(ProviderId(0))
-            .unwrap()
-            .store_page(PageId(1), Bytes::from(vec![0u8; 4096]))
-            .unwrap();
-        mgr.set_placement(AllocationStrategy::LeastLoaded);
-        assert_eq!(mgr.placement_name(), "least_loaded");
-        assert!(!mgr.allocate(2).unwrap().contains(&ProviderId(0)));
-    }
-
-    #[test]
     fn replica_chain_is_successors_in_registry_order() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         assert_eq!(mgr.replicas_of(ProviderId(3), 3).unwrap(), vec![ProviderId(4), ProviderId(0)]);
         assert!(mgr.replicas_of(ProviderId(0), 1).unwrap().is_empty());
         assert!(mgr.replicas_of(ProviderId(9), 2).is_err());
@@ -504,7 +387,7 @@ mod tests {
 
     #[test]
     fn fallback_sequence_continues_past_the_chain() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         // Chain of prov#3 at replication 2 is [prov#4]; fallbacks are
         // the remaining providers in registry order.
         assert_eq!(
@@ -518,7 +401,7 @@ mod tests {
 
     #[test]
     fn retirement_rederives_chains_deterministically() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         // Before: chain of prov#3 at r=2 is [3, 4].
         assert_eq!(mgr.chain_of(ProviderId(3), 2).unwrap(), vec![ProviderId(3), ProviderId(4)]);
         // The drain previews the post-retirement chain …
@@ -543,7 +426,7 @@ mod tests {
 
     #[test]
     fn totals_aggregate() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         fill(&mgr, 8, 128);
         assert_eq!(mgr.total_pages(), 8);
         assert_eq!(mgr.total_stored_bytes(), 8 * 128);
